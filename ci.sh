@@ -16,6 +16,13 @@ echo "== cargo build --release --workspace =="
 # cache_loadgen) this script runs below.
 cargo build --release --offline --workspace
 
+echo "== perfbench: build + test =="
+# perfbench/ is the repository benchmark, a workspace of its own that calls
+# the cache-sim and cache-policies APIs directly. Building and testing it
+# here makes an API change that breaks the benchmark fail this gate.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "== cargo test -q =="
 cargo test -q --offline
 
@@ -187,8 +194,8 @@ print(f"concurrent smoke ok: {len(doc['workloads'])} workloads x "
 PY
 
 echo "== bench smoke: sim_throughput =="
-# Small corpus, one repeat: proves the dense fast path and the legacy
-# emulation still agree bit-for-bit (the binary asserts it) and that the
+# Small corpus, one repeat: proves the dense fast path and the keyed engine
+# still agree bit-for-bit (the binary asserts it) and that the
 # benchmark artifact is produced and well-formed. Numbers from this run are
 # NOT meaningful; the checked-in BENCH_sim.json comes from the full config.
 ./target/release/sim_throughput --smoke

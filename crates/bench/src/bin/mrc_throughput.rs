@@ -3,11 +3,11 @@
 //!
 //! One fixed-seed Zipf trace, one log-spaced capacity grid, every
 //! FIFO-family policy. For each policy the *baseline* replays the trace
-//! once per grid point through `simulate_named` (what `miss_ratio_curve`
-//! does today); the *mrc* path computes the whole grid in ~one pass via
-//! `simulate_mrc` (exact insertion-index engine for FIFO, interleaved
-//! ganged lanes for the rest). Every grid point is asserted bit-identical
-//! across the two paths before any number is timed.
+//! once per grid point through `simulate_named`; the *mrc* path computes
+//! the whole grid in ~one pass via `simulate_mrc` (exact insertion-index
+//! engine for FIFO, interleaved ganged lanes for the rest). Every grid
+//! point is asserted bit-identical across the two paths before any number
+//! is timed.
 //!
 //! Results go to stdout as a table and to a JSON file (repo root
 //! `BENCH_mrc.json` by default). The acceptance numbers live in
@@ -77,7 +77,7 @@ fn sweep_config(cap: u64) -> SimConfig {
 }
 
 /// The per-capacity baseline: one full `simulate_named` replay per grid
-/// point, exactly what `miss_ratio_curve` does. Returns
+/// point. Returns
 /// (requests, misses, evictions, miss-ratio bits) per point.
 fn baseline_sweep(name: &str, trace: &Trace, grid: &[u64]) -> Vec<(u64, u64, u64, u64)> {
     grid.iter()

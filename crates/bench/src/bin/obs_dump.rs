@@ -5,7 +5,7 @@
 //!
 //! 1. **Windowed simulation** — `simulate_named_windowed` over a Zipf trace
 //!    (dense fast path) producing a per-window miss-ratio timeseries whose
-//!    sums are asserted against the run totals, plus a profiled replay.
+//!    sums are asserted against the run totals.
 //! 2. **Flash degradation ladder** — a faulty device bursts write errors,
 //!    trips the error budget, then heals; retries, trips, recoveries and
 //!    per-retry latency land in `flash.ladder.*` and the tracer.

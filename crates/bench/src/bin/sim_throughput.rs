@@ -1,15 +1,16 @@
-//! Simulator throughput: dense-ID fast path vs the legacy keyed engine.
+//! Simulator throughput: the dense-ID fast path vs the keyed engine.
 //!
-//! Two measurements on the same Zipf trace:
+//! Two measurements on the same Zipf trace. In both, the *keyed* column
+//! (kept as `legacy_mreqs` in the JSON) measures the keyed engine: the
+//! HashMap-keyed registry policy replayed by `simulate`, one job at a time.
+//! The *dense* column measures the auto path: one-time interned u32 slots
+//! and slab-indexed policy state.
 //!
-//! 1. **Per-policy replay** — each policy alone: *legacy* is what
-//!    `simulate_named` did before the dense fast path (clone the trace into
-//!    unit-size requests, build the HashMap-keyed policy, replay); *dense*
-//!    is the current auto path (one-time interned u32 slots, slab-indexed
-//!    policy state).
+//! 1. **Per-policy replay** — each policy alone: keyed `simulate` vs
+//!    `simulate_named`.
 //! 2. **Sweep aggregate** — the acceptance metric: every policy × every
 //!    standard cache size, i.e. what `run_sweep` feeds each worker. The
-//!    pre-PR engine ran those jobs one at a time; the dense engine gangs
+//!    keyed engine runs those jobs one at a time; the dense engine gangs
 //!    all same-trace jobs into a single pass (`simulate_named_many`), so
 //!    one traversal drives eight independent policies' memory streams at
 //!    once instead of stalling on each job's misses in sequence.
@@ -25,12 +26,10 @@
 
 use cache_bench::{banner, f2, f4, print_table};
 use cache_sim::{
-    simulate, simulate_named, simulate_named_keyed, simulate_named_many, CacheSizeSpec, SimConfig,
-    SimResult,
+    simulate, simulate_named, simulate_named_many, CacheSizeSpec, SimConfig, SimResult,
 };
 use cache_trace::gen::WorkloadSpec;
 use cache_trace::Trace;
-use cache_types::Request;
 use std::time::Instant;
 
 /// The policies with a dense fast path (plus the keyed machinery both
@@ -56,57 +55,48 @@ fn env_u64(key: &str, default: u64) -> u64 {
 /// One measured policy row.
 struct Row {
     name: String,
-    legacy_mreqs: f64,
+    keyed_mreqs: f64,
     dense_mreqs: f64,
     miss_ratio: f64,
-    legacy_secs: f64,
+    keyed_secs: f64,
     dense_secs: f64,
 }
 
-/// The pre-PR engine, verbatim: materialize a unit-size copy of the trace,
-/// hand it to the keyed registry, replay through HashMap-keyed state.
-fn run_legacy(name: &str, trace: &Trace, cfg: &SimConfig) -> SimResult {
-    let unit_reqs: Vec<Request> = trace
-        .requests
-        .iter()
-        .map(|r| Request { size: 1, ..*r })
-        .collect();
-    let mut policy = cache_policies::registry::build(name, cfg.capacity_for(trace), Some(&unit_reqs))
-        .expect("known policy");
+/// The keyed engine: the HashMap-keyed registry policy replayed by
+/// `simulate`.
+fn run_keyed(name: &str, trace: &Trace, cfg: &SimConfig) -> SimResult {
+    let mut policy =
+        cache_policies::registry::build(name, cfg.capacity_for(trace), Some(&trace.requests))
+            .expect("known policy");
     simulate(policy.as_mut(), trace, cfg.ignore_size)
 }
 
 fn measure(name: &str, trace: &Trace, cfg: &SimConfig, repeats: u32) -> Row {
     let n = trace.requests.len() as f64;
 
-    // Correctness gate first: the fast path must agree with both the forced
-    // keyed path and the legacy-emulation path bit for bit.
+    // Correctness gate first: the fast path must agree with the keyed
+    // engine bit for bit.
     let dense_result = simulate_named(name, trace, cfg)
         .expect("known policy")
         .expect("no size filter");
-    let keyed_result = simulate_named_keyed(name, trace, cfg)
-        .expect("known policy")
-        .expect("no size filter");
-    let legacy_result = run_legacy(name, trace, cfg);
-    for (label, r) in [("keyed", &keyed_result), ("legacy", &legacy_result)] {
-        assert_eq!(
-            dense_result.miss_ratio.to_bits(),
-            r.miss_ratio.to_bits(),
-            "{name}: dense vs {label} miss ratio diverged"
-        );
-        assert_eq!(
-            dense_result.evictions, r.evictions,
-            "{name}: dense vs {label} evictions diverged"
-        );
-    }
+    let keyed_result = run_keyed(name, trace, cfg);
+    assert_eq!(
+        dense_result.miss_ratio.to_bits(),
+        keyed_result.miss_ratio.to_bits(),
+        "{name}: dense vs keyed miss ratio diverged"
+    );
+    assert_eq!(
+        dense_result.evictions, keyed_result.evictions,
+        "{name}: dense vs keyed evictions diverged"
+    );
 
     // Timed runs: best of `repeats` for each engine.
-    let mut legacy_secs = f64::INFINITY;
+    let mut keyed_secs = f64::INFINITY;
     let mut dense_secs = f64::INFINITY;
     for _ in 0..repeats {
         let t0 = Instant::now();
-        let r = run_legacy(name, trace, cfg);
-        legacy_secs = legacy_secs.min(t0.elapsed().as_secs_f64());
+        let r = run_keyed(name, trace, cfg);
+        keyed_secs = keyed_secs.min(t0.elapsed().as_secs_f64());
         std::hint::black_box(r.misses);
 
         let t0 = Instant::now();
@@ -119,10 +109,10 @@ fn measure(name: &str, trace: &Trace, cfg: &SimConfig, repeats: u32) -> Row {
 
     Row {
         name: name.to_string(),
-        legacy_mreqs: n / legacy_secs / 1e6,
+        keyed_mreqs: n / keyed_secs / 1e6,
         dense_mreqs: n / dense_secs / 1e6,
         miss_ratio: dense_result.miss_ratio,
-        legacy_secs,
+        keyed_secs,
         dense_secs,
     }
 }
@@ -134,7 +124,7 @@ const FRACTIONS: &[f64] = &[0.001, 0.01, 0.1];
 /// The sweep-aggregate measurement: all (policy × size) jobs for one trace.
 struct SweepNums {
     jobs: usize,
-    legacy_secs: f64,
+    keyed_secs: f64,
     dense_secs: f64,
 }
 
@@ -145,17 +135,17 @@ fn sweep_config(frac: f64) -> SimConfig {
     }
 }
 
-/// Runs the full (policy × size) job grid the pre-PR way — one job at a
-/// time through the keyed engine, cloning the trace per job — and returns
-/// each job's miss-ratio bits for the equivalence check.
-fn legacy_sweep(trace: &Trace) -> Vec<u64> {
+/// Runs the full (policy × size) job grid one job at a time through the
+/// keyed engine and returns each job's miss-ratio bits for the equivalence
+/// check.
+fn keyed_sweep(trace: &Trace) -> Vec<u64> {
     FRACTIONS
         .iter()
         .flat_map(|&f| {
             let cfg = sweep_config(f);
             POLICIES
                 .iter()
-                .map(move |name| run_legacy(name, trace, &cfg).miss_ratio.to_bits())
+                .map(move |name| run_keyed(name, trace, &cfg).miss_ratio.to_bits())
                 .collect::<Vec<u64>>()
         })
         .collect()
@@ -190,27 +180,27 @@ fn dense_sweep(trace: &Trace) -> Vec<u64> {
 }
 
 fn measure_sweep(trace: &Trace, repeats: u32) -> SweepNums {
-    let legacy_ratios = legacy_sweep(trace);
+    let keyed_ratios = keyed_sweep(trace);
     let dense_ratios = dense_sweep(trace);
     assert_eq!(
-        legacy_ratios, dense_ratios,
-        "sweep: ganged dense vs legacy miss ratios diverged"
+        keyed_ratios, dense_ratios,
+        "sweep: ganged dense vs keyed miss ratios diverged"
     );
 
-    let mut legacy_secs = f64::INFINITY;
+    let mut keyed_secs = f64::INFINITY;
     let mut dense_secs = f64::INFINITY;
     for _ in 0..repeats {
         let t0 = Instant::now();
-        std::hint::black_box(legacy_sweep(trace));
-        legacy_secs = legacy_secs.min(t0.elapsed().as_secs_f64());
+        std::hint::black_box(keyed_sweep(trace));
+        keyed_secs = keyed_secs.min(t0.elapsed().as_secs_f64());
 
         let t0 = Instant::now();
         std::hint::black_box(dense_sweep(trace));
         dense_secs = dense_secs.min(t0.elapsed().as_secs_f64());
     }
     SweepNums {
-        jobs: legacy_ratios.len(),
-        legacy_secs,
+        jobs: keyed_ratios.len(),
+        keyed_secs,
         dense_secs,
     }
 }
@@ -241,34 +231,34 @@ fn write_json(
             "    {{\"name\": \"{}\", \"legacy_mreqs\": {:.4}, \"dense_mreqs\": {:.4}, \
              \"speedup\": {:.4}, \"miss_ratio\": {:.6}, \"identical\": true}}{}\n",
             json_escape(&r.name),
-            r.legacy_mreqs,
+            r.keyed_mreqs,
             r.dense_mreqs,
-            r.dense_mreqs / r.legacy_mreqs,
+            r.dense_mreqs / r.keyed_mreqs,
             r.miss_ratio,
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }
     out.push_str("  ],\n");
-    let legacy_total: f64 = rows.iter().map(|r| r.legacy_secs).sum();
+    let keyed_total: f64 = rows.iter().map(|r| r.keyed_secs).sum();
     let dense_total: f64 = rows.iter().map(|r| r.dense_secs).sum();
     let total_reqs = requests as f64 * rows.len() as f64;
     out.push_str(&format!(
         "  \"serial_aggregate\": {{\"legacy_mreqs\": {:.4}, \"dense_mreqs\": {:.4}, \
          \"speedup\": {:.4}}},\n",
-        total_reqs / legacy_total / 1e6,
+        total_reqs / keyed_total / 1e6,
         total_reqs / dense_total / 1e6,
-        legacy_total / dense_total
+        keyed_total / dense_total
     ));
     // The acceptance metric: aggregate Mreq/s over the full sweep job grid,
-    // pre-PR one-job-at-a-time engine vs the ganged dense engine.
+    // the one-job-at-a-time keyed engine vs the ganged dense engine.
     let sweep_reqs = requests as f64 * sweep.jobs as f64;
     out.push_str(&format!(
         "  \"aggregate\": {{\"metric\": \"sweep\", \"jobs\": {}, \"legacy_mreqs\": {:.4}, \
          \"dense_mreqs\": {:.4}, \"speedup\": {:.4}}}\n",
         sweep.jobs,
-        sweep_reqs / sweep.legacy_secs / 1e6,
+        sweep_reqs / sweep.keyed_secs / 1e6,
         sweep_reqs / sweep.dense_secs / 1e6,
-        sweep.legacy_secs / sweep.dense_secs
+        sweep.keyed_secs / sweep.dense_secs
     ));
     out.push_str("}\n");
     std::fs::write(path, out)
@@ -340,24 +330,24 @@ fn main() {
         .map(|r| {
             vec![
                 r.name.clone(),
-                f2(r.legacy_mreqs),
+                f2(r.keyed_mreqs),
                 f2(r.dense_mreqs),
-                f2(r.dense_mreqs / r.legacy_mreqs),
+                f2(r.dense_mreqs / r.keyed_mreqs),
                 f4(r.miss_ratio),
             ]
         })
         .collect();
     print_table(
-        &["policy", "legacy Mreq/s", "dense Mreq/s", "speedup", "miss ratio"],
+        &["policy", "keyed Mreq/s", "dense Mreq/s", "speedup", "miss ratio"],
         &table,
     );
 
-    let legacy_total: f64 = rows.iter().map(|r| r.legacy_secs).sum();
+    let keyed_total: f64 = rows.iter().map(|r| r.keyed_secs).sum();
     let dense_total: f64 = rows.iter().map(|r| r.dense_secs).sum();
     println!();
     println!(
         "serial aggregate speedup: {:.2}x ({} policies, miss ratios bit-identical)",
-        legacy_total / dense_total,
+        keyed_total / dense_total,
         rows.len()
     );
 
@@ -366,13 +356,13 @@ fn main() {
     println!();
     println!(
         "sweep aggregate ({} jobs = {} policies x {} sizes): \
-         legacy {:.2} Mreq/s, dense {:.2} Mreq/s, speedup {:.2}x",
+         keyed {:.2} Mreq/s, dense {:.2} Mreq/s, speedup {:.2}x",
         sweep.jobs,
         POLICIES.len(),
         FRACTIONS.len(),
-        sweep_reqs / sweep.legacy_secs / 1e6,
+        sweep_reqs / sweep.keyed_secs / 1e6,
         sweep_reqs / sweep.dense_secs / 1e6,
-        sweep.legacy_secs / sweep.dense_secs
+        sweep.keyed_secs / sweep.dense_secs
     );
 
     if let Some(dir) = std::path::Path::new(&out_path).parent() {

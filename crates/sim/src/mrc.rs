@@ -3,11 +3,8 @@
 //! §6.2.3 argues that adaptive algorithms implicitly assume the miss-ratio
 //! curve is convex ("following the gradient direction leads to the global
 //! optimum"), but "the miss ratio curves of scan-heavy workloads are often
-//! not convex". This module computes MRCs two ways:
+//! not convex". This module computes MRCs for every registry algorithm:
 //!
-//! - [`miss_ratio_curve`]: direct simulation at a grid of cache sizes
-//!   (optionally on a SHARDS miniature for speed) — one full trace replay
-//!   per grid point, works for every registry algorithm.
 //! - [`simulate_mrc`]: the single-pass multi-capacity engines
 //!   (`cache_policies::dense::mrc`) for the FIFO family — the whole grid in
 //!   ~one trace pass, bit-identical to the per-capacity sweep. On
@@ -18,6 +15,9 @@
 //!   Streams with writes or honored sizes use the general interleaved
 //!   linked-list lanes (also [`MrcEngine::Ganged`]); everything else falls
 //!   back to the per-capacity sweep ([`MrcEngine::PerCapacity`]).
+//! - [`miss_ratio_curve`]: the object-count curve view, optionally on a
+//!   SHARDS miniature of the trace for speed — [`simulate_mrc`] over the
+//!   scaled grid.
 //!
 //! Also provides the convexity check the §6.2.3 argument rests on.
 
@@ -80,36 +80,46 @@ impl MissRatioCurve {
 ///
 /// # Errors
 ///
-/// Propagates registry errors (unknown algorithm).
+/// Returns [`CacheError::InvalidParameter`] for a sample rate outside
+/// `(0, 1]` or an empty grid, [`CacheError::InvalidCapacity`] for a zero
+/// grid capacity, and propagates registry errors (unknown algorithm).
 pub fn miss_ratio_curve(
     algorithm: &str,
     trace: &Trace,
     capacities: &[u64],
     sample_rate: f64,
 ) -> Result<MissRatioCurve, CacheError> {
-    let sampled;
-    let (sim_trace, scale) = if sample_rate < 1.0 {
-        sampled = spatial_sample(trace, sample_rate, 0x5A17);
-        (&sampled.trace, sample_rate)
-    } else {
-        (trace, 1.0)
-    };
-    let mut points = Vec::with_capacity(capacities.len());
-    for &cap in capacities {
-        let scaled = ((cap as f64 * scale).round() as u64).max(1);
-        let cfg = SimConfig {
-            size: CacheSizeSpec::Bytes(scaled),
-            ignore_size: true,
-            min_objects: 0,
-            floor_objects: 0,
-        };
-        // Invariant: min_objects is 0 above, so the filter never drops the run.
-        let r = simulate_named(algorithm, sim_trace, &cfg)?.expect("no min_objects filter");
-        points.push(MrcPoint {
-            capacity: cap,
-            miss_ratio: r.miss_ratio,
-        });
+    if !(sample_rate > 0.0 && sample_rate <= 1.0) {
+        return Err(CacheError::InvalidParameter(format!(
+            "sample rate must be in (0, 1], got {sample_rate}"
+        )));
     }
+    let sampled;
+    let sim_trace = if sample_rate < 1.0 {
+        sampled = spatial_sample(trace, sample_rate, 0x5A17);
+        &sampled.trace
+    } else {
+        trace
+    };
+    // Scale the grid to the miniature. A scaled point never rounds down to
+    // zero; only the caller's own zeros stay zero, for `simulate_mrc` to
+    // reject.
+    let scaled: Vec<u64> = capacities
+        .iter()
+        .map(|&cap| match cap {
+            0 => 0,
+            _ => ((cap as f64 * sample_rate).round() as u64).max(1),
+        })
+        .collect();
+    let mrc = simulate_mrc(algorithm, sim_trace, &scaled, &MrcConfig::default())?;
+    let mut points: Vec<MrcPoint> = capacities
+        .iter()
+        .zip(&mrc.points)
+        .map(|(&capacity, s)| MrcPoint {
+            capacity,
+            miss_ratio: s.miss_ratio,
+        })
+        .collect();
     points.sort_by_key(|p| p.capacity);
     Ok(MissRatioCurve {
         algorithm: algorithm.to_string(),
@@ -234,8 +244,8 @@ fn pure_get_stream(trace: &Trace, cfg: &MrcConfig) -> bool {
 /// module docs for routing). Results are bit-identical to running
 /// [`crate::engine::simulate_named`] once per capacity.
 ///
-/// Unlike [`miss_ratio_curve`], grid order is preserved in
-/// [`MrcResult::points`] and full counters are returned per point.
+/// Grid order is preserved in [`MrcResult::points`], and full counters
+/// are returned per point.
 ///
 /// # Errors
 ///
@@ -326,24 +336,6 @@ pub fn simulate_mrc(
     })
 }
 
-/// Computes one curve per algorithm over the same grid — the multi-policy
-/// front door mirroring [`crate::engine::simulate_named_many`].
-///
-/// # Errors
-///
-/// Fails on the first algorithm [`simulate_mrc`] rejects.
-pub fn simulate_mrc_many(
-    algorithms: &[&str],
-    trace: &Trace,
-    capacities: &[u64],
-    cfg: &MrcConfig,
-) -> Result<Vec<MrcResult>, CacheError> {
-    algorithms
-        .iter()
-        .map(|name| simulate_mrc(name, trace, capacities, cfg))
-        .collect()
-}
-
 /// [`simulate_mrc`] instrumented through the observability layer: bumps
 /// `<scope>.curves` / `.points` / `.requests` / `.misses` counters and
 /// records the amortized per-point wall time (µs) into the
@@ -429,6 +421,56 @@ mod tests {
         assert!(miss_ratio_curve("Nope", &t, &[10], 1.0).is_err());
     }
 
+    /// Every sample rate outside `(0, 1]`, NaN included, is an error, not a
+    /// panic in `spatial_sample` or a silent full-trace replay.
+    #[test]
+    fn miss_ratio_curve_rejects_bad_sample_rates() {
+        let t = WorkloadSpec::zipf("m", 1000, 100, 1.0, 1).generate();
+        for rate in [0.0, -0.5, f64::NAN, 1.5, f64::INFINITY] {
+            assert!(
+                matches!(
+                    miss_ratio_curve("LRU", &t, &[10], rate),
+                    Err(CacheError::InvalidParameter(_))
+                ),
+                "rate {rate} must be rejected"
+            );
+        }
+        assert!(miss_ratio_curve("LRU", &t, &[10], 1.0).is_ok());
+        assert!(miss_ratio_curve("LRU", &t, &[10], 0.5).is_ok());
+    }
+
+    /// A zero grid capacity is an error, sampled or not, as in
+    /// `simulate_mrc`.
+    #[test]
+    fn miss_ratio_curve_rejects_zero_capacity() {
+        let t = WorkloadSpec::zipf("m", 1000, 100, 1.0, 1).generate();
+        for rate in [1.0, 0.5] {
+            assert!(matches!(
+                miss_ratio_curve("LRU", &t, &[10, 0], rate),
+                Err(CacheError::InvalidCapacity(_))
+            ));
+        }
+    }
+
+    /// The curve is `simulate_mrc` on the (scaled) grid, in capacity order,
+    /// bit for bit.
+    #[test]
+    fn miss_ratio_curve_is_simulate_mrc_sorted() {
+        let t = WorkloadSpec::zipf("m", 20_000, 2000, 1.0, 3).generate();
+        let caps = [300, 30, 100];
+        for algo in ["FIFO", "SIEVE", "LRU", "ARC"] {
+            let curve = miss_ratio_curve(algo, &t, &caps, 1.0).unwrap();
+            let mrc = simulate_mrc(algo, &t, &caps, &MrcConfig::default()).unwrap();
+            let want = mrc.curve();
+            assert_eq!(curve.algorithm, algo);
+            assert_eq!(curve.points.len(), want.points.len());
+            for (a, b) in curve.points.iter().zip(&want.points) {
+                assert_eq!(a.capacity, b.capacity, "{algo}");
+                assert_eq!(a.miss_ratio.to_bits(), b.miss_ratio.to_bits(), "{algo}");
+            }
+        }
+    }
+
     #[test]
     fn simulate_mrc_routes_by_engine() {
         let t = WorkloadSpec::zipf("route", 20_000, 2000, 0.9, 7).generate();
@@ -500,8 +542,6 @@ mod tests {
             assert_eq!(w.requests, p.requests);
             assert_eq!(w.misses, p.misses);
         }
-        let many = simulate_mrc_many(&["FIFO", "SIEVE"], &t, &caps, &MrcConfig::default()).unwrap();
-        assert_eq!(many.len(), 2);
     }
 
     #[test]
